@@ -52,13 +52,12 @@ fleet-smoke:
 fleetz-smoke:
 	sh scripts/fleetz_smoke.sh
 
-# mining-smoke runs the blocked-vs-exact parity matrix (3 seeds × 3
-# linkages) and the incremental-converges-to-batch checks — the gates
-# behind the sub-quadratic mining path.
+# mining-smoke runs the mining parity gates — exact vs its naive
+# oracle, blocked vs exact (3 seeds × 3 linkages), memoized vs full cut
+# sweep, incremental-converges-to-batch — and fails if any listed test
+# no longer exists.
 mining-smoke:
-	$(GO) test -count=1 \
-		-run '^(TestClusterParityBlockedVsExact|TestBlockedComponentsPartition|TestBlockedFixedCutHeight|TestIncrementalConvergesToBatch|TestIncrementalOptionReplaysToBatch|TestIncrementalLinkageVariants|TestSweepMemoParityMatrix|TestBlockedFullSweepOptionParity|TestMedoidIndexRoundTrip)$$' \
-		./internal/core/
+	sh scripts/mining_smoke.sh
 
 # miningz-smoke runs a blocked mine with the debug server up and asserts
 # the live /miningz introspection view (JSON schema + wpnstat dashboard),

@@ -19,10 +19,6 @@
 //	-incremental   mine as a replayed stream: batches feed an
 //	               incremental clusterer that re-clusters only dirty
 //	               blocks (implies the blocked path)
-//	-full-sweep    disable cut-sweep memoization on the blocked path:
-//	               every candidate height re-cuts and re-scores every
-//	               block (the parity/bench reference; output is
-//	               bit-identical, just slower)
 //	-medoid-index P write the persistable medoid classify index
 //	               (campaign medoids + chosen cut) as deterministic
 //	               JSON to P, so a restarted incremental service can
@@ -69,7 +65,6 @@ func main() {
 		tables      = flag.String("table", "all", "artifacts to print (1,2,3,4,5,6,f4,f5,f6,cost,eval,detector,scams,experiments,all)")
 		blocked     = flag.Bool("blocked", false, "use the sub-quadratic LSH-blocked clustering path")
 		incremental = flag.Bool("incremental", false, "mine as a replayed stream (implies -blocked)")
-		fullSweep   = flag.Bool("full-sweep", false, "disable cut-sweep memoization on the blocked path (reference/bench baseline; slower, bit-identical output)")
 		medoidOut   = flag.String("medoid-index", "", "write the persistable medoid classify index (campaign medoids + chosen cut) as JSON to this path (blocked/incremental paths)")
 		quiet       = flag.Bool("quiet", false, "suppress progress logging")
 		format      = flag.String("format", "text", "output format: text or json")
@@ -149,7 +144,6 @@ func main() {
 	}
 	cfg.Pipeline.Cluster.Blocked = *blocked
 	cfg.Pipeline.Cluster.Incremental = *incremental
-	cfg.Pipeline.Cluster.FullSweep = *fullSweep
 	cfg.Pipeline.MedoidIndexPath = *medoidOut
 	cfg.Pipeline.Ledger = ledger
 	study, err := pushadminer.RunStudy(cfg)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -35,56 +34,11 @@ func TestComputeBalancedMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestComputeMasked(t *testing.T) {
-	n := 60
-	f := func(i, j int) float64 { return 0.1 }
-	keep := func(i, j int) bool { return (i+j)%3 == 0 }
-	m := ComputeMasked(n, f, keep, func(i, j int) float64 { return 0.9 })
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			want := 0.9
-			if (i+j)%3 == 0 {
-				want = 0.1
-			}
-			if got := m.At(i, j); got != float64(float32(want)) {
-				t.Fatalf("At(%d,%d) = %v, want %v", i, j, got, want)
-			}
-		}
-	}
-	// nil keep computes every pair.
-	m2 := ComputeMasked(5, func(i, j int) float64 { return float64(i + j) }, nil, nil)
-	if got := m2.At(1, 3); got != 4 {
-		t.Fatalf("nil keep: At(1,3) = %v, want 4", got)
-	}
-}
-
-// TestComputeMaskedEvaluatesKeepOncePerPair guards the contract that the
-// filter is not re-invoked (it may be stateful or expensive).
-func TestComputeMaskedKeepSeesEveryPairOnce(t *testing.T) {
-	n := 40
-	var mu sync.Mutex
-	seen := make(map[[2]int]int)
-	ComputeMasked(n, func(i, j int) float64 { return 0 }, func(i, j int) bool {
-		mu.Lock()
-		seen[[2]int{i, j}]++
-		mu.Unlock()
-		return false
-	}, func(i, j int) float64 { return 1 })
-	if len(seen) != n*(n-1)/2 {
-		t.Fatalf("keep saw %d pairs, want %d", len(seen), n*(n-1)/2)
-	}
-	for p, c := range seen {
-		if c != 1 {
-			t.Fatalf("pair %v evaluated %d times", p, c)
-		}
-	}
-}
-
 func TestSilhouetteMatchesSerialBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(120)
-		m := Compute(n, func(i, j int) float64 { return rng.Float64() })
+		m := randomDistMatrix(rng, n)
 		k := 1 + rng.Intn(6)
 		labels := make([]int, n)
 		for i := range labels {

@@ -29,7 +29,7 @@ type Features struct {
 // term-similarity model, and the precomputed pairwise kernel: per-record
 // self quad-form norms and document vectors (textmine.DocKernel) plus
 // SimHash fingerprints over the combined text+path tokens for banded
-// candidate pruning. Everything a pairwise Distance call needs is
+// candidate generation. Everything a pairwise Distance call needs is
 // computed once here instead of once per pair.
 type FeatureSet struct {
 	Records  []*crawler.WPNRecord
@@ -41,10 +41,10 @@ type FeatureSet struct {
 	Kernel *textmine.DocKernel
 	// Hashes are per-record SimHash fingerprints over the message's
 	// content tokens and landing-path tokens, backing the banded
-	// candidate pruning of ClusterWPNs.
+	// candidate generation of the blocked clustering path.
 	Hashes []simhash.Hash
-	// SoftOpts are the soft-cosine options the model was built with (the
-	// naive reference path re-derives distances from them).
+	// SoftOpts are the soft-cosine options the model was built with
+	// (NaiveDistance re-derives distances from them).
 	SoftOpts textmine.SoftCosineOptions
 	// UseText and UsePath toggle feature groups (ablation A2).
 	UseText, UsePath bool
@@ -116,7 +116,7 @@ func ExtractFeatures(records []*crawler.WPNRecord, opts FeatureOptions) (*Featur
 		paths := urlx.PathTokens(r.LandingURL)
 		bows[i] = bow
 		fs.Features[i] = Features{Text: bow, PathTokens: paths}
-		// Fingerprint over both distance components so banded pruning
+		// Fingerprint over both distance components so banded blocking
 		// respects whichever feature groups are active.
 		fp := make([]string, 0, len(content)+len(paths))
 		if fs.UseText {
@@ -153,13 +153,11 @@ func (fs *FeatureSet) Distance(i, j int) float64 {
 	}
 }
 
-// ApproxDistance is the cheap far-pair estimate stored for pairs the
-// SimHash filter prunes away: the text component is the precomputed
-// document-vector cosine (one dense dot product instead of a sparse
-// quad-form), the path component is the same merge Jaccard as Distance
-// (already cheap). Substituting an estimate rather than a constant
-// keeps the full-matrix silhouette — and hence the conservative cut
-// selection — close to the exact path's.
+// ApproxDistance is the cheap far-pair estimate behind the blocked
+// path's cross-block distance (see blockedFar): the text component is
+// the precomputed document-vector cosine (one dense dot product instead
+// of a sparse quad-form), the path component is the same merge Jaccard
+// as Distance (already cheap).
 func (fs *FeatureSet) ApproxDistance(i, j int) float64 {
 	fi, fj := &fs.Features[i], &fs.Features[j]
 	switch {
@@ -179,8 +177,9 @@ func (fs *FeatureSet) ApproxDistance(i, j int) float64 {
 // NaiveDistance recomputes the pairwise distance from scratch — three
 // quad-forms per call (both self quad-forms rediscovered every time) and
 // a map-based Jaccard — exactly what the pipeline did before the kernel
-// cache existed. It is the reference the parity tests and benchmarks
-// compare Distance against; the two agree bit-for-bit.
+// cache existed. No clustering path uses it: it is the oracle the parity
+// tests and benchmarks compare Distance against; the two agree
+// bit-for-bit.
 func (fs *FeatureSet) NaiveDistance(i, j int) float64 {
 	fi, fj := &fs.Features[i], &fs.Features[j]
 	switch {

@@ -56,9 +56,6 @@ type IncrementalClusterer struct {
 	fs   *FeatureSet
 	opts ClusterOptions
 
-	bands, link int
-	distT       float64
-
 	ix      *simhash.BandIndex
 	uf      *cluster.UnionFind
 	added   []bool
@@ -81,17 +78,12 @@ type IncrementalClusterer struct {
 }
 
 // NewIncrementalClusterer prepares an empty clusterer over the feature
-// set. opts is interpreted as for the Blocked batch path (Prune.Bands,
-// Prune.MaxHamming and Prune.BlockDistance parameterize the blocking).
+// set. opts is interpreted as for the Blocked batch path.
 func NewIncrementalClusterer(fs *FeatureSet, opts ClusterOptions) *IncrementalClusterer {
-	bands, link, distT := blockedParams(opts.Prune)
 	return &IncrementalClusterer{
 		fs:    fs,
 		opts:  opts,
-		bands: bands,
-		link:  link,
-		distT: distT,
-		ix:    simhash.NewBandIndex(bands),
+		ix:    simhash.NewBandIndex(blockBands),
 		uf:    cluster.NewUnionFind(len(fs.Records)),
 		added: make([]bool, len(fs.Records)),
 		cache: make(map[int]*blockDendrogram),
@@ -160,7 +152,7 @@ func (c *IncrementalClusterer) Add(i int) int {
 	// examined exactly once — when the later of the two arrives — so
 	// the final components match the batch blockedComponents exactly.
 	for _, j := range c.candBuf {
-		if !c.uf.Same(i, j) && blockedEdge(c.fs, i, j, c.link, c.distT) {
+		if !c.uf.Same(i, j) && blockedEdge(c.fs, i, j) {
 			c.uf.Union(i, j)
 		}
 	}
@@ -240,7 +232,7 @@ func (c *IncrementalClusterer) Recluster() *ClusterResult {
 		// memos (the memo lives on the blockDendrogram), so clean
 		// blocks' sweep contributions survive across Recluster calls.
 		var ms sweepMemoStats
-		blocks, per, height, sil, ms = sweepBlockedCut(c.fs, blocks, c.opts.Linkage, c.nAdded, c.opts.MaxCutCandidates, c.opts.conservativeTol(), c.opts.FullSweep, c.obs)
+		blocks, per, height, sil, ms = sweepBlockedCut(c.fs, blocks, c.opts.Linkage, c.nAdded, c.opts.MaxCutCandidates, c.opts.conservativeTol(), c.obs)
 		c.stats.SweepMemoHits += ms.hits
 		c.stats.SweepMemoRefreshes += ms.refreshes
 		c.stats.SweepRescoredBlocks += ms.rescoredBlocks
@@ -267,7 +259,7 @@ func (c *IncrementalClusterer) MedoidIndex() *MedoidIndex {
 	if c.res == nil {
 		return nil
 	}
-	return newMedoidIndex(c.fs, c.medoids, c.res.CutHeight, c.res.Silhouette, c.bands)
+	return newMedoidIndex(c.fs, c.medoids, c.res.CutHeight, c.res.Silhouette)
 }
 
 // RestoreMedoidIndex seeds the clusterer's provisional classifier from
@@ -320,16 +312,7 @@ func clusterWPNsIncremental(fs *FeatureSet, opts ClusterOptions) *ClusterResult 
 	if n == 0 {
 		return inc.forceEmptyResult()
 	}
-	recordBlockedPairs(opts.Metrics, n, blockMembers(inc))
-	if opts.prog != nil {
-		comps := blockMembers(inc)
-		var exact int64
-		for _, c := range comps {
-			m := int64(len(c))
-			exact += m * (m - 1) / 2
-		}
-		opts.prog.addPairs(exact, int64(n)*int64(n-1)/2-exact)
-	}
+	recordPairs(opts, n, withinBlockPairs(blockMembers(inc)))
 	if res := inc.Result(); res != nil {
 		// The medoid pass is already paid for (Recluster maintains it),
 		// so the streaming result always carries the persistable index.

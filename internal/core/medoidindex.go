@@ -36,7 +36,8 @@ type MedoidIndex struct {
 	Silhouette float64 `json:"silhouette"`
 	// Records is the feature-set size the index was mined from.
 	Records int `json:"records"`
-	// Bands is the SimHash banding of the candidate lookup.
+	// Bands is the SimHash banding of the candidate lookup, 1..64; 0
+	// (a file without the field) means blockBands.
 	Bands int `json:"bands"`
 	// Medoids is ascending by label, so the serialized form is
 	// deterministic.
@@ -48,8 +49,8 @@ type MedoidIndex struct {
 
 // newMedoidIndex builds the index from a mined medoid map (cluster
 // label -> medoid record).
-func newMedoidIndex(fs *FeatureSet, medoids map[int]int, cutHeight, sil float64, bands int) *MedoidIndex {
-	x := &MedoidIndex{CutHeight: cutHeight, Silhouette: sil, Records: len(fs.Records), Bands: bands}
+func newMedoidIndex(fs *FeatureSet, medoids map[int]int, cutHeight, sil float64) *MedoidIndex {
+	x := &MedoidIndex{CutHeight: cutHeight, Silhouette: sil, Records: len(fs.Records), Bands: blockBands}
 	labels := make([]int, 0, len(medoids))
 	for l := range medoids {
 		labels = append(labels, l)
@@ -75,8 +76,8 @@ func (x *MedoidIndex) Classify(fs *FeatureSet, i int) (label int, dist float64) 
 	}
 	if x.ix == nil {
 		bands := x.Bands
-		if bands <= 0 {
-			bands = 8
+		if bands == 0 {
+			bands = blockBands
 		}
 		x.ix = simhash.NewBandIndex(bands)
 		for p, me := range x.Medoids {
@@ -119,6 +120,9 @@ func LoadMedoidIndex(path string) (*MedoidIndex, error) {
 	var x MedoidIndex
 	if err := json.Unmarshal(data, &x); err != nil {
 		return nil, fmt.Errorf("core: parse medoid index %s: %w", path, err)
+	}
+	if x.Bands < 0 || x.Bands > 64 {
+		return nil, fmt.Errorf("core: medoid index %s: bands %d out of range [1,64]", path, x.Bands)
 	}
 	for _, me := range x.Medoids {
 		if me.Record < 0 || me.Record >= x.Records {

@@ -41,11 +41,11 @@ func sweepHeightBucket(h float64) string {
 // dist = exact-distance confirmation), block_linkage_exact counts the
 // within-block exact distance evaluations of the dendrogram builds,
 // sweep_scored counts the within-block distance lookups the pooled
-// sweep's silhouette scoring re-reads (full sweep: every valid height ×
-// every pair; memoized sweep: only pairs in blocks whose labeling
-// changed at that height), and sweep_memo_saved is the complement — the
-// per-height re-reads the memo skipped, so scored + saved on the
-// memoized path equals what a full sweep would have re-read.
+// sweep's silhouette scoring re-reads (only pairs in blocks whose
+// labeling changed at that height; the unmemoized full sweep the tests
+// hold as oracle re-reads every pair at every valid height), and
+// sweep_memo_saved is the complement — the per-height re-reads the memo
+// skipped, so scored + saved equals what a full sweep would re-read.
 var miningPairPhases = []string{
 	"blocks_gate_checked", "blocks_gate_rejected",
 	"blocks_dist_checked", "blocks_edges",
@@ -183,16 +183,6 @@ func (o *blockedObs) setHeightsTotal(n int) {
 	o.prog.setHeights(n)
 }
 
-// sweepEvaluated observes one candidate height's scoring (called from
-// inside the sweep fan-out).
-func (o *blockedObs) sweepEvaluated(height float64, ns int64) {
-	if o == nil {
-		return
-	}
-	o.sweepFam.Add(sweepHeightBucket(height), ns)
-	o.prog.heightDone()
-}
-
 // blocksRebuilt records an incremental Recluster round's dendrogram
 // rebuilds: exact pair volume into mining_pairs plus one ledger event
 // per rebuilt block, in ascending block order (rebuild is built in
@@ -227,24 +217,6 @@ func (o *blockedObs) reclustered(blocks, reused, rebuilt, clusters int) {
 	}
 	o.led.Recluster(blocks, reused, rebuilt, clusters)
 	o.prog.reclustered()
-}
-
-// heightSwept records one full-sweep candidate height's outcome:
-// scored pair volume into mining_pairs (valid evaluations only),
-// blocks re-cut (every block, on the full sweep) into
-// mining_sweep_blocks, and the deterministic ledger event. Called
-// serially, in ascending height order, after the sweep fan-out
-// completes.
-func (o *blockedObs) heightSwept(height float64, k int, valid bool, sil float64, changedBlocks int, scoredPairs int64) {
-	if o == nil {
-		return
-	}
-	if valid {
-		o.pairsFam.Add("sweep_scored", scoredPairs)
-	}
-	o.sweepBlocksFam.Add(sweepHeightBucket(height), int64(changedBlocks))
-	o.led.HeightSwept(height, k, valid, sil, changedBlocks, scoredPairs)
-	o.prog.sweepWork(int64(changedBlocks), 0)
 }
 
 // sweepRescored observes one fresh (block, segment) rescore inside the

@@ -18,8 +18,7 @@ type MiningStatus struct {
 	// Stage is the pipeline stage currently running ("featurize",
 	// "blocks", "cut", ...; "done" after the run finishes).
 	Stage string `json:"stage"`
-	// Mode names the clustering path: naive, cached, pruned, blocked,
-	// or incremental.
+	// Mode names the clustering path: cached, blocked, or incremental.
 	Mode string `json:"mode"`
 	// Records is the corpus size entering clustering.
 	Records int `json:"records"`
@@ -42,9 +41,8 @@ type MiningStatus struct {
 	// SweepBlocksRescored / SweepMemoHits describe the pooled cut
 	// sweep's memoization: block re-cuts actually performed vs.
 	// (candidate × block) sweep-grid cells served from the per-block
-	// cut memo. On the full (unmemoized) sweep rescored counts every
-	// block at every height and hits stay 0; both stay 0 below the
-	// validation-scale crossover, where the exact sweep runs.
+	// cut memo. Both stay 0 below the validation-scale crossover, where
+	// the exact sweep runs.
 	SweepBlocksRescored int64 `json:"sweep_blocks_rescored"`
 	SweepMemoHits       int64 `json:"sweep_memo_hits"`
 
@@ -266,14 +264,10 @@ func (p *miningProgress) finish() { p.publish(true) }
 // status Mode field and progress logging.
 func clusterMode(opts ClusterOptions) string {
 	switch {
-	case opts.Naive:
-		return "naive"
 	case opts.Incremental:
 		return "incremental"
 	case opts.Blocked:
 		return "blocked"
-	case opts.Prune.Enabled:
-		return "pruned"
 	default:
 		return "cached"
 	}

@@ -46,60 +46,30 @@ func TestDistanceMatchesNaiveBitForBit(t *testing.T) {
 	}
 }
 
-// TestClusterParityNaiveVsCached asserts the optimized path (cached
-// kernel, balanced block scheduling, parallel silhouette sweep) yields
-// byte-identical labels, cut height, and silhouette to the naive path
-// across seeds and linkages.
+// TestClusterParityNaiveVsCached asserts the optimized exact path
+// (cached kernel, balanced block scheduling, parallel silhouette sweep)
+// yields byte-identical labels, cut height, and silhouette to an oracle
+// built here from the reference pieces — from-scratch NaiveDistance,
+// the same linkage, and the serial silhouette sweep — across seeds and
+// linkages.
 func TestClusterParityNaiveVsCached(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
+		fs := parityFS(t, seed, 150)
+		dm := cluster.Compute(len(fs.Records), fs.NaiveDistance)
 		for _, linkage := range []cluster.Linkage{cluster.Average, cluster.Single, cluster.Complete} {
-			fs := parityFS(t, seed, 150)
-			naive := ClusterWPNs(fs, ClusterOptions{Naive: true, Linkage: linkage})
+			naive := cluster.BestCutConservativeSerial(cluster.AgglomerativeLinkage(dm, linkage), dm, 0, 0.15)
 			fast := ClusterWPNs(fs, ClusterOptions{Linkage: linkage})
 			if !sameLabels(naive.Labels, fast.Labels) {
 				t.Fatalf("seed %d linkage %s: labels differ\nnaive: %v\nfast:  %v",
 					seed, linkage, naive.Labels, fast.Labels)
 			}
-			if naive.CutHeight != fast.CutHeight {
-				t.Errorf("seed %d linkage %s: cut height %v != %v", seed, linkage, naive.CutHeight, fast.CutHeight)
+			if naive.Height != fast.CutHeight {
+				t.Errorf("seed %d linkage %s: cut height %v != %v", seed, linkage, naive.Height, fast.CutHeight)
 			}
 			if naive.Silhouette != fast.Silhouette {
 				t.Errorf("seed %d linkage %s: silhouette %v != %v", seed, linkage, naive.Silhouette, fast.Silhouette)
 			}
 		}
-	}
-}
-
-// TestClusterParityPrunedVsExact asserts SimHash-banded pruning yields
-// the same labeling and cut as the exact-everywhere path on corpora
-// where campaigns are locality-preserved (the default prune settings are
-// tuned to be conservative). The silhouette may differ only through the
-// substituted far-pair distances, so it is checked within a tolerance.
-func TestClusterParityPrunedVsExact(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		fs := parityFS(t, seed, 150)
-		exact := ClusterWPNs(fs, ClusterOptions{})
-		pruned := ClusterWPNs(fs, ClusterOptions{Prune: PruneOptions{Enabled: true}})
-		if !sameLabels(exact.Labels, pruned.Labels) {
-			t.Fatalf("seed %d: pruned labels differ\nexact:  %v\npruned: %v", seed, exact.Labels, pruned.Labels)
-		}
-		if diff := pruned.Silhouette - exact.Silhouette; diff > 0.05 || diff < -0.05 {
-			t.Errorf("seed %d: pruned silhouette %v far from exact %v", seed, pruned.Silhouette, exact.Silhouette)
-		}
-	}
-}
-
-// TestPruneDisabledIsExact asserts the parity fallback knob: a zero
-// PruneOptions computes every pair, entry-identical to the default path.
-func TestPrunedMatrixExactWhereKept(t *testing.T) {
-	fs := parityFS(t, 2, 100)
-	exact := ClusterWPNs(fs, ClusterOptions{})
-	fallback := ClusterWPNs(fs, ClusterOptions{Prune: PruneOptions{}})
-	if !sameLabels(exact.Labels, fallback.Labels) {
-		t.Fatal("zero PruneOptions changed the labeling")
-	}
-	if exact.Silhouette != fallback.Silhouette || exact.CutHeight != fallback.CutHeight {
-		t.Fatal("zero PruneOptions changed cut or silhouette")
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -17,9 +18,97 @@ import (
 // memoBlocksFor builds the blocked substrate (components + per-block
 // dendrograms) for a feature set, the way clusterWPNsBlocked does.
 func memoBlocksFor(fs *FeatureSet, linkage cluster.Linkage) []*blockDendrogram {
-	bands, link, distT := blockedParams(PruneOptions{})
-	comps := blockedComponents(fs, bands, link, distT, nil)
-	return buildBlockDendrograms(fs, comps, linkage, nil)
+	return buildBlockDendrograms(fs, blockedComponents(fs, nil), linkage, nil)
+}
+
+// sweepBlockedCutFull is the unmemoized pooled sweep: every candidate
+// height re-cuts every block and re-scores the full blocked silhouette.
+// O(heights × blocks) — the oracle the memoized sweep
+// (sweepBlockedCutMemo) is parity-tested against.
+func sweepBlockedCutFull(blocks []*blockDendrogram, cands []float64, farD float64, nLive int, tol float64, obs *blockedObs) (out []*blockDendrogram, per [][]int, height, sil float64) {
+	obs.setHeightsTotal(len(cands))
+	// Pairs one silhouette evaluation re-reads: every within-block pair,
+	// identical for each valid height.
+	var evalPairs int64
+	if obs != nil {
+		for _, bd := range blocks {
+			m := int64(len(bd.members))
+			evalPairs += m * (m - 1) / 2
+		}
+	}
+
+	// Candidate heights are scored in parallel (each evaluation is
+	// independent: cut every block, sum block silhouettes) and reduced
+	// serially in ascending height order, so the selection is identical
+	// to the serial loop. Per-height timings go straight to the atomic
+	// sweep family; ledger events are buffered in evals and flushed
+	// serially below in ascending height order.
+	evals := make([]sweepEval, len(cands))
+	if obs == nil {
+		fanOut(len(cands), 0, func(ci int) {
+			p, k := cutBlocksAt(blocks, cands[ci])
+			if k < 2 || k >= nLive {
+				evals[ci] = sweepEval{k: k}
+				return
+			}
+			evals[ci] = sweepEval{sil: blockedSilhouette(blocks, p, farD, nLive), valid: true, k: k}
+		})
+	} else {
+		fanOut(len(cands), 0, func(ci int) {
+			start := time.Now()
+			p, k := cutBlocksAt(blocks, cands[ci])
+			if k >= 2 && k < nLive {
+				evals[ci] = sweepEval{sil: blockedSilhouette(blocks, p, farD, nLive), valid: true, k: k}
+			} else {
+				evals[ci] = sweepEval{k: k}
+			}
+			obs.sweepEvaluated(cands[ci], time.Since(start).Nanoseconds())
+		})
+		for ci, e := range evals {
+			scored := int64(0)
+			if e.valid {
+				scored = evalPairs
+			}
+			// The full sweep re-cuts every block at every height.
+			obs.heightSwept(cands[ci], e.k, e.valid, e.sil, len(blocks), scored)
+		}
+	}
+	best := selectSweepCut(evals, tol)
+	if best < 0 {
+		// Degenerate: no valid cut (e.g. nLive == 2). Fall back to
+		// leaves, like the exact sweep.
+		return blocks, leafPerBlocks(blocks), 0, 0
+	}
+	per, _ = cutBlocksAt(blocks, cands[best])
+	return blocks, per, cands[best], evals[best].sil
+}
+
+// sweepEvaluated observes one sweepBlockedCutFull candidate height's
+// scoring (called from inside the sweep fan-out).
+func (o *blockedObs) sweepEvaluated(height float64, ns int64) {
+	if o == nil {
+		return
+	}
+	o.sweepFam.Add(sweepHeightBucket(height), ns)
+	o.prog.heightDone()
+}
+
+// heightSwept records one sweepBlockedCutFull candidate height's outcome:
+// scored pair volume into mining_pairs (valid evaluations only),
+// blocks re-cut (every block, on the full sweep) into
+// mining_sweep_blocks, and the deterministic ledger event. Called
+// serially, in ascending height order, after the sweep fan-out
+// completes.
+func (o *blockedObs) heightSwept(height float64, k int, valid bool, sil float64, changedBlocks int, scoredPairs int64) {
+	if o == nil {
+		return
+	}
+	if valid {
+		o.pairsFam.Add("sweep_scored", scoredPairs)
+	}
+	o.sweepBlocksFam.Add(sweepHeightBucket(height), int64(changedBlocks))
+	o.led.HeightSwept(height, k, valid, sil, changedBlocks, scoredPairs)
+	o.prog.sweepWork(int64(changedBlocks), 0)
 }
 
 // tieHeavyFS builds a corpus of duplicated records, so block
@@ -209,29 +298,33 @@ func TestSweepMemoObservationParity(t *testing.T) {
 	}
 }
 
-// TestBlockedFullSweepOptionParity runs the blocked path end-to-end
-// above the validation-scale crossover with and without FullSweep and
-// asserts identical results — the dispatcher-level version of the
-// parity matrix — and that the incremental replay (whose final
-// Reclusters run the memoized sweep, reusing memos across calls)
-// converges exactly to both.
+// TestBlockedFullSweepOptionParity is the dispatcher-level version of
+// the parity matrix: ClusterWPNs on the blocked path above the
+// validation-scale crossover must match the same blocks swept by the
+// unmemoized sweepBlockedCutFull oracle — labels, cut height and
+// silhouette bit-for-bit — and the incremental replay (whose final
+// Reclusters run the memoized sweep, reusing memos across calls) must
+// converge exactly to both.
 func TestBlockedFullSweepOptionParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("above-crossover corpus is slow; skipping in -short")
 	}
 	fs := parityFS(t, 1, blockedExactSweepMaxN+88) // 600: pooled sweep engages
+	n := len(fs.Records)
 	memo := ClusterWPNs(fs, ClusterOptions{Blocked: true})
-	full := ClusterWPNs(fs, ClusterOptions{Blocked: true, FullSweep: true})
-	if !sameLabels(memo.Labels, full.Labels) {
-		t.Error("memoized and full sweeps produced different labels")
+
+	blocks := memoBlocksFor(fs, cluster.Average)
+	cands := pooledCutCandidates(blocks, 64)
+	_, fullPer, fullH, fullS := sweepBlockedCutFull(blocks, cands, blockedFar(fs, blocks), n, 0.15, nil)
+	if full := stitchBlockedLabels(n, blocks, fullPer); !sameLabels(memo.Labels, full) {
+		t.Error("ClusterWPNs and the full-sweep oracle produced different labels")
 	}
-	if memo.CutHeight != full.CutHeight || memo.Silhouette != full.Silhouette {
-		t.Errorf("memo cut %v/%v, full cut %v/%v",
-			memo.CutHeight, memo.Silhouette, full.CutHeight, full.Silhouette)
+	if memo.CutHeight != fullH || memo.Silhouette != fullS {
+		t.Errorf("ClusterWPNs cut %v/%v, full-sweep oracle %v/%v",
+			memo.CutHeight, memo.Silhouette, fullH, fullS)
 	}
 
 	inc := NewIncrementalClusterer(fs, ClusterOptions{})
-	n := len(fs.Records)
 	for start := 0; start < n; start += 200 {
 		end := start + 200
 		if end > n {
@@ -360,6 +453,37 @@ func TestMedoidIndexRoundTrip(t *testing.T) {
 	other := NewIncrementalClusterer(small, opts)
 	if err := other.RestoreMedoidIndex(loaded); err == nil {
 		t.Error("RestoreMedoidIndex accepted an index from a different feature set size")
+	}
+}
+
+// TestLoadMedoidIndexRejectsBadBands pins LoadMedoidIndex's check of
+// the persisted banding: a value the band index cannot be built with
+// must fail the load, not panic in the first Classify. 0 stays valid
+// (older files) and means the default banding.
+func TestLoadMedoidIndexRejectsBadBands(t *testing.T) {
+	fs := parityFS(t, 1, 40)
+	load := func(bands int) (*MedoidIndex, error) {
+		path := filepath.Join(t.TempDir(), "medoids.json")
+		data := fmt.Sprintf(`{"cut_height": 0.3, "silhouette": 0.5, "records": %d, "bands": %d, "medoids": [{"label": 0, "record": 0}]}`,
+			len(fs.Records), bands)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return LoadMedoidIndex(path)
+	}
+	for _, bands := range []int{-1, 65, 100} {
+		if _, err := load(bands); err == nil {
+			t.Errorf("bands %d: load succeeded, want an out-of-range error", bands)
+		}
+	}
+	for _, bands := range []int{0, 1, 8, 64} {
+		x, err := load(bands)
+		if err != nil {
+			t.Fatalf("bands %d: %v", bands, err)
+		}
+		if l, d := x.Classify(fs, 0); l != 0 || d != 0 {
+			t.Errorf("bands %d: medoid record classifies to (%d,%v), want (0,0)", bands, l, d)
+		}
 	}
 }
 

@@ -18,13 +18,11 @@ go test ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> blocked-vs-exact mining parity smoke"
-go test -count=1 \
-	-run '^(TestClusterParityBlockedVsExact|TestIncrementalConvergesToBatch)$' \
-	./internal/core/
+echo "==> mining parity smoke"
+sh scripts/mining_smoke.sh
 
 echo "==> parallel-monitor parity smoke (serial vs parallel, small n)"
-go test -run '^TestSerialParallelParity$/^seed11$' -count=1 ./internal/crawler/
+sh scripts/gotest_named.sh ./internal/crawler/ TestSerialParallelParity/seed11
 
 # bench_check subsumes the old bench smokes: it runs the same cheap
 # slices (mining n=200, crawl n=50, 1x) and additionally gates them
