@@ -118,29 +118,29 @@ func (r *run) writeCheckpoint(live []*container) {
 	}
 }
 
-// SaveCheckpoint atomically writes a checkpoint: marshal, write to a
-// temp file in the same directory, fsync, rename. Before the final
+// SaveCheckpoint atomically writes a checkpoint: marshal to compact
+// JSON, write to a temp file in the same directory, fsync, rename. Before the final
 // rename, the previous checkpoint (if any) is rotated to path+".bak",
 // so even a corrupted primary — a crash between the renames, a torn
 // write on a dying disk — leaves one complete earlier snapshot for
 // LoadCheckpointFallback to resume from.
 func SaveCheckpoint(path string, cp *Checkpoint) error {
-	data, err := json.MarshalIndent(cp, "", "  ")
+	data, err := json.Marshal(cp)
 	if err != nil {
 		return fmt.Errorf("crawler: marshal checkpoint: %w", err)
 	}
-	if err := writeFileDurable(path, data); err != nil {
+	if err := WriteFileDurable(path, data); err != nil {
 		return fmt.Errorf("crawler: checkpoint: %w", err)
 	}
 	return nil
 }
 
-// writeFileDurable is the shared atomic-write-with-backup-rotation used
+// WriteFileDurable is the shared atomic-write-with-backup-rotation used
 // by run checkpoints and fleet shard state: temp file in the same
 // directory, fsync, rotate the existing file to .bak, rename into
 // place. The rotation is best-effort — failing to keep a backup must
 // not fail the write.
-func writeFileDurable(path string, data []byte) error {
+func WriteFileDurable(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -168,15 +168,42 @@ func writeFileDurable(path string, data []byte) error {
 	return nil
 }
 
-// LoadCheckpoint reads and validates a checkpoint file.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
+// readJSON decodes the file at path into v; what names the file kind
+// in parse errors. Read errors are returned as they are, so callers
+// can test them with os.IsNotExist.
+func readJSON(path, what string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("crawler: parse %s %s: %w", what, path, err)
+	}
+	return nil
+}
+
+// loadWithBackup loads path, falling back to the .bak rotated by
+// WriteFileDurable when the primary is missing, truncated, corrupt, or
+// version-mismatched — the states a crash mid-write can leave behind.
+// fellBack reports that the backup was used. When both copies are
+// unusable the primary's error is returned (preserving os.IsNotExist
+// for fresh starts).
+func loadWithBackup[T any](path string, load func(string) (*T, error)) (v *T, fellBack bool, err error) {
+	v, err = load(path)
+	if err == nil {
+		return v, false, nil
+	}
+	if bv, berr := load(path + ".bak"); berr == nil {
+		return bv, true, nil
+	}
+	return nil, false, err
+}
+
+// LoadCheckpoint reads and validates a checkpoint file.
+func LoadCheckpoint(path string) (*Checkpoint, error) {
 	var cp Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return nil, fmt.Errorf("crawler: parse checkpoint %s: %w", path, err)
+	if err := readJSON(path, "checkpoint", &cp); err != nil {
+		return nil, err
 	}
 	if cp.Version != CheckpointVersion {
 		return nil, fmt.Errorf("crawler: checkpoint %s: version %d, want %d", path, cp.Version, CheckpointVersion)
@@ -185,20 +212,10 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // LoadCheckpointFallback loads a checkpoint, falling back to the .bak
-// rotated by SaveCheckpoint when the primary is missing, truncated,
-// corrupt, or version-mismatched — the states a crash mid-write can
-// leave behind. fellBack reports that the backup was used, so callers
-// can note the degradation. When both copies are unusable the primary's
-// error is returned (preserving os.IsNotExist for fresh starts).
+// rotated by SaveCheckpoint (see loadWithBackup). fellBack reports
+// that the backup was used, so callers can note the degradation.
 func LoadCheckpointFallback(path string) (cp *Checkpoint, fellBack bool, err error) {
-	cp, err = LoadCheckpoint(path)
-	if err == nil {
-		return cp, false, nil
-	}
-	if bcp, berr := LoadCheckpoint(path + ".bak"); berr == nil {
-		return bcp, true, nil
-	}
-	return nil, false, err
+	return loadWithBackup(path, LoadCheckpoint)
 }
 
 // loadCheckpoint merges a previous checkpoint into this run for resume:

@@ -99,6 +99,7 @@ type ShardWorker struct {
 	// dirty marks shard state changed since the last TakeDirty, so the
 	// transport persists exactly the ticks that mutated something.
 	dirty bool
+	enc   stateEncoder
 }
 
 // NewShardWorker builds a worker for one shard of the fleet. seeds
@@ -300,6 +301,7 @@ func (w *ShardWorker) Adopt(st *ShardState) error {
 	sort.Slice(w.live, func(i, j int) bool { return w.live[i].id < w.live[j].id })
 	w.seeds = append(w.seeds, st.Seeds...)
 	sort.Slice(w.seeds, func(i, j int) bool { return w.seeds[i].Index < w.seeds[j].Index })
+	w.enc.seeds = nil
 	w.r.res.Degradation.Merge(st.Degradation)
 	w.r.lostTokens = append(w.r.lostTokens, st.LostTokens...)
 	w.dirty = true

@@ -1,11 +1,11 @@
 package crawler
 
 import (
+	"bytes"
 	"container/heap"
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"pushadminer/internal/httpx"
@@ -29,12 +29,11 @@ const ShardStateVersion = 1
 // after being re-queued, and a spurious or missing resume event would
 // shift tick times and break parity).
 type ShardContainerState struct {
-	Cursor               ContainerCursor               `json:"cursor"`
-	InHeap               bool                          `json:"in_heap,omitempty"`
-	Breaker              []httpx.BreakerHostState      `json:"breaker,omitempty"`
-	Registrations        []*serviceworker.Registration `json:"registrations,omitempty"`
-	DroppedNotifications int                           `json:"dropped_notifications,omitempty"`
-	Cookies              []httpx.CookieRecord          `json:"cookies,omitempty"`
+	Cursor               ContainerCursor          `json:"cursor"`
+	InHeap               bool                     `json:"in_heap,omitempty"`
+	Breaker              []httpx.BreakerHostState `json:"breaker,omitempty"`
+	DroppedNotifications int                      `json:"dropped_notifications,omitempty"`
+	Cookies              []httpx.CookieRecord     `json:"cookies,omitempty"`
 	// Chain is the browser's trace chain-recorder linkage state (span
 	// IDs future events parent under). Present only when tracing is on;
 	// its IDs reference the shard's tracer, which the fleet transport
@@ -43,6 +42,9 @@ type ShardContainerState struct {
 	// byte-identical to the single-process trace. Adopt drops it: the
 	// IDs are meaningless against another shard's tracer.
 	Chain *telemetry.ChainState `json:"chain,omitempty"`
+	// Registrations come last: EncodeState splices their cached
+	// encodings in after the rest of the object.
+	Registrations []*serviceworker.Registration `json:"registrations,omitempty"`
 }
 
 // ShardState is one shard worker's durable snapshot, written by the
@@ -60,42 +62,162 @@ type ShardState struct {
 	// (heap re-queue decisions depend on it).
 	End time.Time `json:"end"`
 
-	Seeds      []ShardSeed           `json:"seeds,omitempty"`
-	Containers []ShardContainerState `json:"containers,omitempty"`
 	// LostTokens are subscriptions lost in container crashes (their
 	// still-queued messages become RecordsDroppedEst at finish).
 	LostTokens  []string    `json:"lost_tokens,omitempty"`
 	Degradation Degradation `json:"degradation"`
+
+	// Seeds and Containers come last: EncodeState appends them to the
+	// encoded header.
+	Seeds      []ShardSeed           `json:"seeds,omitempty"`
+	Containers []ShardContainerState `json:"containers,omitempty"`
 }
 
 // State snapshots the worker for durable storage.
 func (w *ShardWorker) State() (*ShardState, error) {
-	inHeap := make(map[int]bool, len(w.resumes))
-	for _, ct := range w.resumes {
-		inHeap[ct.id] = true
+	st := w.stateHeader()
+	st.Seeds = w.seeds
+	inHeap := w.inHeap()
+	for _, ct := range w.live {
+		cs := ct.shardState(inHeap[ct.id])
+		cs.Registrations = ct.br.Registrations()
+		st.Containers = append(st.Containers, cs)
 	}
-	st := &ShardState{
+	return st, nil
+}
+
+// stateHeader is the worker's state without seeds and containers.
+func (w *ShardWorker) stateHeader() *ShardState {
+	return &ShardState{
 		Version:     ShardStateVersion,
 		Shard:       w.id,
 		Device:      w.c.cfg.Device.String(),
 		SimTime:     w.c.cfg.Clock.Now(),
 		End:         w.r.end,
-		Seeds:       w.seeds,
 		LostTokens:  w.r.lostTokens,
 		Degradation: w.r.res.Degradation,
 	}
-	for _, ct := range w.live {
-		st.Containers = append(st.Containers, ShardContainerState{
-			Cursor:               ct.cursor(),
-			InHeap:               inHeap[ct.id],
-			Breaker:              ct.brk.Export(),
-			Registrations:        ct.br.Registrations(),
-			DroppedNotifications: ct.br.DroppedNotifications(),
-			Cookies:              ct.br.ExportCookies(),
-			Chain:                ct.br.ExportChain(),
-		})
+}
+
+// inHeap reports which container ids sit in the suspension heap.
+func (w *ShardWorker) inHeap() map[int]bool {
+	m := make(map[int]bool, len(w.resumes))
+	for _, ct := range w.resumes {
+		m[ct.id] = true
 	}
-	return st, nil
+	return m
+}
+
+// shardState is the container's persisted state without its
+// registrations.
+func (ct *container) shardState(inHeap bool) ShardContainerState {
+	return ShardContainerState{
+		Cursor:               ct.cursor(),
+		InHeap:               inHeap,
+		Breaker:              ct.brk.Export(),
+		DroppedNotifications: ct.br.DroppedNotifications(),
+		Cookies:              ct.br.ExportCookies(),
+		Chain:                ct.br.ExportChain(),
+	}
+}
+
+// stateEncoder is what EncodeState keeps between saves.
+type stateEncoder struct {
+	buf  bytes.Buffer
+	jenc *json.Encoder // writes into buf
+	// seeds is the encoded seed list; nil until first needed and
+	// after Adopt changes the list.
+	seeds []byte
+	// regs holds each registration's encoding, keyed by pointer.
+	regs map[*serviceworker.Registration][]byte
+}
+
+// EncodeState returns the worker's durable state as compact JSON: the
+// bytes json.Marshal(w.State()) gives. The seed list and every
+// service-worker registration are encoded once and spliced into later
+// saves, so a save re-encodes only what can change: the header and,
+// per container, the cursor, heap flag, breaker, cookies, dropped
+// count and trace chain. That relies on two invariants: a browser
+// never mutates a Registration after creating it (it only appends new
+// ones), and w.seeds changes only in Adopt, which drops the cached
+// seeds. The returned slice is valid until the next call.
+func (w *ShardWorker) EncodeState() ([]byte, error) {
+	e := &w.enc
+	if e.jenc == nil {
+		e.jenc = json.NewEncoder(&e.buf)
+		e.regs = make(map[*serviceworker.Registration][]byte)
+	}
+	e.buf.Reset()
+	if err := e.open(w.stateHeader()); err != nil {
+		return nil, err
+	}
+	if len(w.seeds) > 0 {
+		if e.seeds == nil {
+			b, err := json.Marshal(w.seeds)
+			if err != nil {
+				return nil, fmt.Errorf("crawler: marshal shard seeds: %w", err)
+			}
+			e.seeds = b
+		}
+		e.buf.WriteString(`,"seeds":`)
+		e.buf.Write(e.seeds)
+	}
+	if len(w.live) > 0 {
+		inHeap := w.inHeap()
+		e.buf.WriteString(`,"containers":[`)
+		for i, ct := range w.live {
+			if i > 0 {
+				e.buf.WriteByte(',')
+			}
+			cs := ct.shardState(inHeap[ct.id])
+			if err := e.open(&cs); err != nil {
+				return nil, err
+			}
+			if err := e.registrations(ct.br.Registrations()); err != nil {
+				return nil, err
+			}
+			e.buf.WriteByte('}')
+		}
+		e.buf.WriteByte(']')
+	}
+	e.buf.WriteByte('}')
+	return e.buf.Bytes(), nil
+}
+
+// open appends v's encoding without its closing brace, so fields can
+// follow. v must have a field that is never omitted, else the next
+// field would follow a bare "{".
+func (e *stateEncoder) open(v any) error {
+	if err := e.jenc.Encode(v); err != nil {
+		return fmt.Errorf("crawler: marshal shard state: %w", err)
+	}
+	e.buf.Truncate(e.buf.Len() - len("}\n"))
+	return nil
+}
+
+// registrations appends the "registrations" field from the cached
+// encodings, encoding registrations not seen before.
+func (e *stateEncoder) registrations(regs []*serviceworker.Registration) error {
+	if len(regs) == 0 {
+		return nil
+	}
+	e.buf.WriteString(`,"registrations":[`)
+	for i, reg := range regs {
+		b, ok := e.regs[reg]
+		if !ok {
+			var err error
+			if b, err = json.Marshal(reg); err != nil {
+				return fmt.Errorf("crawler: marshal registration: %w", err)
+			}
+			e.regs[reg] = b
+		}
+		if i > 0 {
+			e.buf.WriteByte(',')
+		}
+		e.buf.Write(b)
+	}
+	e.buf.WriteByte(']')
+	return nil
 }
 
 // RestoreShardWorker rebuilds a worker from its persisted state: fresh
@@ -152,42 +274,17 @@ func (c *Crawler) containerFromState(cs *ShardContainerState) *container {
 	return ct
 }
 
-// SaveShardState atomically writes a shard state file with the same
-// backup-rotation discipline as run checkpoints: the previous state
-// rotates to path+".bak" so a torn write can always fall back one tick.
-func SaveShardState(path string, st *ShardState) error {
-	data, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return fmt.Errorf("crawler: marshal shard state: %w", err)
-	}
-	if err := writeFileDurable(path, data); err != nil {
-		return fmt.Errorf("crawler: shard state: %w", err)
-	}
-	return nil
-}
-
 // LoadShardState reads a shard state file, falling back to the rotated
 // .bak when the primary is missing, truncated, or corrupt. fellBack
 // reports that the backup was used.
 func LoadShardState(path string) (st *ShardState, fellBack bool, err error) {
-	st, err = loadShardState(path)
-	if err == nil {
-		return st, false, nil
-	}
-	if bst, berr := loadShardState(path + ".bak"); berr == nil {
-		return bst, true, nil
-	}
-	return nil, false, err
+	return loadWithBackup(path, loadShardState)
 }
 
 func loadShardState(path string) (*ShardState, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var st ShardState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("crawler: parse shard state %s: %w", path, err)
+	if err := readJSON(path, "shard state", &st); err != nil {
+		return nil, err
 	}
 	if st.Version != ShardStateVersion {
 		return nil, fmt.Errorf("crawler: shard state %s: version %d, want %d", path, st.Version, ShardStateVersion)

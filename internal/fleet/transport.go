@@ -195,19 +195,27 @@ func (t *localTransport) Heartbeat(shard, cycle int) error {
 	return nil
 }
 
+// onStateSave, when non-nil, sees every shard-state encoding before it
+// is written. Tests set it to check EncodeState against State; it is
+// nil otherwise.
+var onStateSave func(w *crawler.ShardWorker, data []byte)
+
 // maybeSave persists the worker's state if it changed this tick.
 func (t *localTransport) maybeSave(shard int, w *crawler.ShardWorker) error {
 	if !t.durable || !w.TakeDirty() {
 		return nil
 	}
-	st, err := w.State()
+	data, err := w.EncodeState()
 	if err != nil {
 		return err
 	}
-	if err := crawler.SaveShardState(t.statePath(shard), st); err != nil {
+	if onStateSave != nil {
+		onStateSave(w, data)
+	}
+	if err := crawler.WriteFileDurable(t.statePath(shard), data); err != nil {
 		// A failed save means a later restart would silently resume
 		// from stale state and break parity: fail loud instead.
-		return err
+		return fmt.Errorf("fleet: save shard %d state: %w", shard, err)
 	}
 	t.saves.Add(1)
 	t.met.stateSaves.Inc()

@@ -24,6 +24,10 @@ sh scripts/mining_smoke.sh
 echo "==> parallel-monitor parity smoke (serial vs parallel, small n)"
 sh scripts/gotest_named.sh ./internal/crawler/ TestSerialParallelParity/seed11
 
+echo "==> shard-state save smoke (.bak fallback, EncodeState vs State on every save)"
+sh scripts/gotest_named.sh ./internal/crawler/ TestShardStateBackupFallback
+sh scripts/gotest_named.sh ./internal/fleet/ TestEncodeStateMatchesState
+
 # bench_check subsumes the old bench smokes: it runs the same cheap
 # slices (mining n=200, crawl n=50, 1x) and additionally gates them
 # against the committed BENCH_*.json baselines.
