@@ -46,11 +46,12 @@ telemetry-smoke:
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
 
-# fleetz-smoke runs a 4-shard chaos crawl with the debug server up and
-# asserts the live /fleetz introspection view (JSON schema + wpnstat
-# dashboard) and the fleet event ledger.
+# fleetz-smoke and miningz-smoke run scripts/statusz_smoke.sh for one
+# live status endpoint: a 4-shard chaos crawl (/fleetz) or a blocked
+# mine (/miningz) with the debug server up, asserting the endpoint's
+# JSON schema, the wpnstat dashboard, and the run's event ledger.
 fleetz-smoke:
-	sh scripts/fleetz_smoke.sh
+	sh scripts/statusz_smoke.sh fleetz
 
 # mining-smoke runs the mining parity gates — exact vs its naive
 # oracle, blocked vs exact (3 seeds × 3 linkages), memoized vs full cut
@@ -59,12 +60,8 @@ fleetz-smoke:
 mining-smoke:
 	sh scripts/mining_smoke.sh
 
-# miningz-smoke runs a blocked mine with the debug server up and asserts
-# the live /miningz introspection view (JSON schema + wpnstat dashboard),
-# the deterministic mining ledger's byte-stability across reruns, and the
-# blocked-only telemetry keys.
 miningz-smoke:
-	sh scripts/miningz_smoke.sh
+	sh scripts/statusz_smoke.sh miningz
 
 # profile-mining captures CPU/heap pprof profiles of the n=50k blocked
 # clustering benchmark plus its sweep_ns cut-sweep attribution, under

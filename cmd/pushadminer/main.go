@@ -157,7 +157,7 @@ func main() {
 		study.Analysis.Report.TotalCollected, study.Analysis.Report.ValidLanding)
 	if *ledgerOut != "" {
 		events := ledger.Events()
-		if err := core.WriteMiningLedger(*ledgerOut, events); err != nil {
+		if err := telemetry.WriteLedger(*ledgerOut, events); err != nil {
 			log.Fatal(err)
 		}
 		logf("%d mining ledger events → %s", len(events), *ledgerOut)

@@ -14,7 +14,9 @@
 // -once prints a single snapshot and exits (handy for scripts); -json
 // dumps the raw endpoint JSON instead of the text dashboard. Without
 // -once the dashboard refreshes in place every -interval until the
-// watched run reports done or the server goes away.
+// watched run reports done or the server goes away. The dashboard is
+// the server's own ?format=text rendering, so wpnstat needs no
+// knowledge of either status type.
 package main
 
 import (
@@ -26,22 +28,7 @@ import (
 	"net/http"
 	"os"
 	"time"
-
-	"pushadminer/internal/core"
-	"pushadminer/internal/fleet"
 )
-
-// fleetzPayload mirrors the /fleetz JSON envelope.
-type fleetzPayload struct {
-	Active bool               `json:"active"`
-	Fleet  *fleet.FleetStatus `json:"fleet"`
-}
-
-// miningzPayload mirrors the /miningz JSON envelope.
-type miningzPayload struct {
-	Active bool               `json:"active"`
-	Mining *core.MiningStatus `json:"mining"`
-}
 
 func main() {
 	var (
@@ -74,11 +61,11 @@ func main() {
 			time.Sleep(*interval)
 			continue
 		}
-		dashboard, done, err := render(*endpoint, body)
+		active, done, err := envelope(body)
 		if err != nil {
 			log.Fatalf("wpnstat: parse /%s: %v", *endpoint, err)
 		}
-		if dashboard == "" {
+		if !active {
 			fmt.Printf("no %s status active (run not started, or observation is off)\n", *endpoint)
 			if *once {
 				return
@@ -86,11 +73,15 @@ func main() {
 			time.Sleep(*interval)
 			continue
 		}
+		dashboard, err := fetch(client, url+"?format=text")
+		if err != nil {
+			log.Fatalf("wpnstat: %v", err)
+		}
 		if !*once {
 			// Redraw in place: clear screen, home cursor.
 			fmt.Print("\033[2J\033[H")
 		}
-		fmt.Print(dashboard)
+		os.Stdout.Write(dashboard)
 		if *once || done {
 			return
 		}
@@ -98,29 +89,20 @@ func main() {
 	}
 }
 
-// render parses one endpoint response into its text dashboard. An empty
-// dashboard means no status is being published yet.
-func render(endpoint string, body []byte) (dashboard string, done bool, err error) {
-	switch endpoint {
-	case "miningz":
-		var p miningzPayload
-		if err := json.Unmarshal(body, &p); err != nil {
-			return "", false, err
-		}
-		if !p.Active || p.Mining == nil {
-			return "", false, nil
-		}
-		return p.Mining.String(), p.Mining.Done, nil
-	default:
-		var p fleetzPayload
-		if err := json.Unmarshal(body, &p); err != nil {
-			return "", false, err
-		}
-		if !p.Active || p.Fleet == nil {
-			return "", false, nil
-		}
-		return p.Fleet.String(), p.Fleet.Done, nil
+// envelope reads a status endpoint's JSON envelope: whether a status is
+// published, and the payload's done flag, whatever the payload key.
+func envelope(body []byte) (active, done bool, err error) {
+	var env map[string]any
+	if err := json.Unmarshal(body, &env); err != nil {
+		return false, false, err
 	}
+	for _, v := range env {
+		if payload, ok := v.(map[string]any); ok {
+			done, _ = payload["done"].(bool)
+		}
+	}
+	active, _ = env["active"].(bool)
+	return active, done, nil
 }
 
 func fetch(client *http.Client, url string) ([]byte, error) {

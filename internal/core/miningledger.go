@@ -1,21 +1,18 @@
 package core
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"os"
 	"strconv"
-	"sync"
+
+	"pushadminer/internal/telemetry"
 )
 
-// Mining ledger event kinds. The ledger is the mining pipeline's
-// mirror of the fleet event ledger: an append-only, seq-numbered JSONL
-// record of what the clustering run did, byte-stable across reruns at
-// a fixed seed. Events deliberately carry no wall-clock time — timing
-// lives in the telemetry snapshot (which is not byte-stable); the
-// ledger records *what happened in what order*, so two runs can be
-// diffed directly.
+// Mining ledger event kinds. The ledger is a telemetry.Ledger, like the
+// fleet event timeline: an append-only, seq-numbered JSONL record of
+// what the clustering run did, byte-stable across reruns at a fixed
+// seed. Events deliberately carry no wall-clock time — timing lives in
+// the telemetry snapshot (which is not byte-stable); the ledger
+// records *what happened in what order*, so two runs can be diffed
+// directly.
 const (
 	// EvStageBegin / EvStageEnd bracket one pipeline stage
 	// ("featurize", "blocks", "cut", ...). Attrs: stage.
@@ -50,24 +47,25 @@ const (
 	EvRecluster = "recluster"
 )
 
-// MiningEvent is one ledger line. Attrs values are pre-formatted
-// strings so encoding is trivially deterministic (ints via
-// strconv.Itoa, floats via strconv.FormatFloat 'g' -1).
+// MiningEvent is one ledger line, numbered from 0. Attrs values are
+// pre-formatted strings so encoding is trivially deterministic (ints
+// via strconv.Itoa, floats via strconv.FormatFloat 'g' -1).
 type MiningEvent struct {
 	Seq   int               `json:"seq"`
 	Kind  string            `json:"kind"`
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
-// MiningLedger accumulates mining events in memory. All appends happen
-// on serial code paths (stage boundaries, post-fan-out flushes in
-// canonical order), but the mutex keeps it safe if an instrumented
-// path ever runs concurrently. A nil *MiningLedger no-ops everywhere —
-// same contract as nil telemetry — and, because attr maps are built
-// inside the append methods, the disabled path allocates nothing.
+// MiningLedger accumulates mining events in memory through typed
+// appends. All appends happen on serial code paths (stage boundaries,
+// post-fan-out flushes in canonical order), but the shared ledger's
+// mutex keeps it safe if an instrumented path ever runs concurrently.
+// A nil *MiningLedger no-ops everywhere — same contract as nil
+// telemetry — and, because attr maps are built inside the append
+// methods, the disabled path allocates nothing. Write it with
+// telemetry.WriteLedger.
 type MiningLedger struct {
-	mu     sync.Mutex
-	events []MiningEvent
+	events telemetry.Ledger[MiningEvent]
 }
 
 // NewMiningLedger returns an empty ledger.
@@ -75,9 +73,9 @@ func NewMiningLedger() *MiningLedger { return &MiningLedger{} }
 
 // append assigns the next seq and stores the event.
 func (l *MiningLedger) append(kind string, attrs map[string]string) {
-	l.mu.Lock()
-	l.events = append(l.events, MiningEvent{Seq: len(l.events), Kind: kind, Attrs: attrs})
-	l.mu.Unlock()
+	l.events.Append(func(seq int) MiningEvent {
+		return MiningEvent{Seq: seq, Kind: kind, Attrs: attrs}
+	})
 }
 
 // StageBegin / StageEnd bracket a pipeline stage.
@@ -179,65 +177,7 @@ func (l *MiningLedger) Events() []MiningEvent {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]MiningEvent, len(l.events))
-	copy(out, l.events)
-	return out
-}
-
-// WriteMiningLedger writes the events as one JSON object per line.
-// Attr keys are emitted in sorted order (json.Marshal sorts map keys),
-// so the output is byte-deterministic for identical event sequences.
-func WriteMiningLedger(path string, events []MiningEvent) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("core: create mining ledger: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for _, ev := range events {
-		if err := enc.Encode(ev); err != nil {
-			f.Close()
-			return fmt.Errorf("core: encode mining event: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("core: flush mining ledger: %w", err)
-	}
-	return f.Close()
-}
-
-// ReadMiningLedger reads a ledger file back, validating seq
-// monotonicity.
-func ReadMiningLedger(path string) ([]MiningEvent, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: open mining ledger: %w", err)
-	}
-	defer f.Close()
-	var out []MiningEvent
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var ev MiningEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, fmt.Errorf("core: parse mining ledger line %d: %w", len(out), err)
-		}
-		if ev.Seq != len(out) {
-			return nil, fmt.Errorf("core: mining ledger seq gap: got %d want %d", ev.Seq, len(out))
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("core: read mining ledger: %w", err)
-	}
-	return out, nil
+	return l.events.Events()
 }
 
 // numClusters counts distinct non-negative labels — the k reported in

@@ -201,7 +201,7 @@ func TestSweepHeightBucket(t *testing.T) {
 // published value, and finish marks it done.
 func TestMiningProgressPublication(t *testing.T) {
 	prog := newMiningProgress("blocked", 500)
-	first := prog.statusVal.Load().(*MiningStatus)
+	first := prog.status.Load()
 	if first.Stage != "start" || first.Mode != "blocked" || first.Records != 500 {
 		t.Errorf("initial status = %+v", first)
 	}
@@ -214,7 +214,7 @@ func TestMiningProgressPublication(t *testing.T) {
 	prog.setHeights(3)
 	prog.addPairs(100, 200) // accumulates only; published by the next event
 	prog.heightDone()
-	cur := prog.statusVal.Load().(*MiningStatus)
+	cur := prog.status.Load()
 	if cur == first {
 		t.Fatal("publish mutated the previous snapshot instead of replacing it")
 	}
@@ -227,18 +227,15 @@ func TestMiningProgressPublication(t *testing.T) {
 	}
 
 	prog.finish()
-	done := prog.statusVal.Load().(*MiningStatus)
+	done := prog.status.Load()
 	if !done.Done || done.Stage != "done" {
 		t.Errorf("final status = %+v", done)
 	}
-	if got := CurrentMiningStatus(); got == nil || !got.Done {
-		t.Errorf("CurrentMiningStatus = %+v, want the finished snapshot", got)
+	// The registered /miningz status serves the published snapshot.
+	if got := CurrentMiningStatus(); got != done {
+		t.Errorf("CurrentMiningStatus = %p, want the last published snapshot %p", got, done)
 	}
 	if done.String() == "" {
 		t.Error("empty dashboard rendering")
-	}
-	// The /miningz provider serves the published snapshot.
-	if got := prog.provider(); got != any(done) {
-		t.Errorf("provider() = %p, want the last published snapshot %p", got, done)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pushadminer/internal/crawler"
@@ -66,17 +65,16 @@ type coordinator struct {
 	// snaps/health/lastPull hold the coordinator's last pulled telemetry
 	// view per shard (lastPull -1 = never pulled; the view of a lost
 	// worker stays frozen at its last pull, which is what the merge-lag
-	// gauge measures); events is the fleet ledger; statusVal publishes
-	// the current *FleetStatus for the /fleetz handler (stored whole,
-	// never mutated after publish — readers are concurrent).
+	// gauge measures); events is the fleet ledger; fleetz publishes
+	// the /fleetz view (nil with telemetry off).
 	telemetryOn bool
 	nextSeg     int64
 	lastSweep   int
 	lastPull    []int
 	snaps       []telemetry.Snapshot
 	health      []*crawler.ShardHealth
-	events      []Event
-	statusVal   atomic.Value
+	events      telemetry.Ledger[Event]
+	fleetz      *telemetry.Status[FleetStatus]
 }
 
 func newCoordinator(ctx context.Context, cfg Config, crawlCfg crawler.Config, tr Transport, met *fleetMetrics) *coordinator {
@@ -111,7 +109,7 @@ func newCoordinator(ctx context.Context, cfg Config, crawlCfg crawler.Config, tr
 		co.records = reg.Counter("crawler_records_emitted")
 		co.checkpointWrites = reg.Counter("crawler_checkpoint_writes")
 		co.pumpWorkers = reg.Gauge("crawler_pump_workers")
-		telemetry.SetFleetz(co.fleetStatus)
+		co.fleetz = telemetry.NewStatus[FleetStatus]("fleet")
 	}
 	return co
 }
@@ -130,12 +128,8 @@ func (co *coordinator) seg() int64 {
 // path, so Seq is both emission and causal order and the ledger is
 // deterministic under a fixed chaos plan.
 func (co *coordinator) event(kind string, shard int, attrs map[string]string) {
-	co.events = append(co.events, Event{
-		Seq:   len(co.events) + 1,
-		Time:  co.crawl.Clock.Now(),
-		Kind:  kind,
-		Shard: shard,
-		Attrs: attrs,
+	co.events.Append(func(seq int) Event {
+		return Event{Seq: seq + 1, Time: co.crawl.Clock.Now(), Kind: kind, Shard: shard, Attrs: attrs}
 	})
 	co.met.events.Add(kind, 1)
 }
@@ -158,16 +152,6 @@ func (co *coordinator) pullTelemetry(k, cycle int) {
 	co.report.TelemetryPulls++
 }
 
-// fleetStatus returns the last published *FleetStatus (nil before the
-// first publish). Registered as the /fleetz provider.
-func (co *coordinator) fleetStatus() any {
-	v := co.statusVal.Load()
-	if v == nil {
-		return nil
-	}
-	return v
-}
-
 // updateStatus rebuilds and publishes the /fleetz view. Fresh maps and
 // slices every time: the published pointer is read concurrently by the
 // debug server and must never be mutated afterwards.
@@ -184,7 +168,7 @@ func (co *coordinator) updateStatus(done bool) {
 		Lost:       co.report.WorkersLost,
 		Stolen:     co.report.ContainersStolen,
 		Records:    len(co.res.Records),
-		Events:     len(co.events),
+		Events:     co.events.Len(),
 		SimTime:    co.crawl.Clock.Now(),
 		WindowEnd:  co.end,
 		Done:       done,
@@ -219,7 +203,7 @@ func (co *coordinator) updateStatus(done bool) {
 		}
 		st.Workers = append(st.Workers, ws)
 	}
-	co.statusVal.Store(st)
+	co.fleetz.Publish(st)
 }
 
 // forAlive runs f(k) concurrently for every live shard and joins the
@@ -610,12 +594,12 @@ func (co *coordinator) finish() error {
 	co.writeMergedCheckpoint()
 	co.stitchTrace()
 	co.absorbTelemetry()
+	co.report.Events = co.events.Events()
 	if co.cfg.LedgerPath != "" {
-		if err := WriteLedger(co.cfg.LedgerPath, co.events); err != nil {
+		if err := telemetry.WriteLedger(co.cfg.LedgerPath, co.report.Events); err != nil {
 			return err
 		}
 	}
-	co.report.Events = co.events
 	co.updateStatus(true)
 	return nil
 }

@@ -23,9 +23,7 @@
 package fleet
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -80,63 +78,17 @@ const (
 	EvMerge           = "merge"            // a tick's records merged (records > 0)
 )
 
-// Event is one line of the fleet event timeline: a simclock-timestamped
-// control-plane lifecycle event. Seq is the emission order (the ledger
-// is written by the coordinator's serial path, so Seq is also causal
-// order); Shard is -1 for fleet-wide events.
+// Event is one line of the fleet event timeline, a telemetry.Ledger: a
+// simclock-timestamped control-plane lifecycle event. Seq is the
+// emission order, numbered from 1 (the ledger is written by the
+// coordinator's serial path, so Seq is also causal order); Shard is -1
+// for fleet-wide events.
 type Event struct {
 	Seq   int               `json:"seq"`
 	Time  time.Time         `json:"time"`
 	Kind  string            `json:"kind"`
 	Shard int               `json:"shard"`
 	Attrs map[string]string `json:"attrs,omitempty"`
-}
-
-// WriteLedger writes the event timeline as JSONL, one event per line.
-func WriteLedger(path string, events []Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("fleet: ledger: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	enc := json.NewEncoder(bw)
-	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
-			f.Close()
-			return fmt.Errorf("fleet: ledger: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("fleet: ledger: %w", err)
-	}
-	return f.Close()
-}
-
-// ReadLedger parses an event-ledger JSONL file.
-func ReadLedger(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: ledger: %w", err)
-	}
-	defer f.Close()
-	var out []Event
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("fleet: ledger: %w", err)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fleet: ledger: %w", err)
-	}
-	return out, nil
 }
 
 // WorkerStatus is one worker's line in the fleet report.

@@ -194,7 +194,7 @@ func TestFleetLedger(t *testing.T) {
 	}
 
 	rep, reg, path := run(t, t.TempDir())
-	events, err := ReadLedger(path)
+	events, err := telemetry.ReadLedger[Event](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestFleetObservabilityDisabled(t *testing.T) {
 	if rep.TelemetryPulls != 0 || rep.StitchedSpans != 0 || rep.ShardSnapshots != nil {
 		t.Errorf("observability plane active without instruments: %+v", rep)
 	}
-	events, err := ReadLedger(path)
+	events, err := telemetry.ReadLedger[Event](path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,52 +8,83 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Registered live-introspection providers, keyed by the JSON envelope
+// Registered live-introspection statuses, keyed by the JSON envelope
 // field their endpoint wraps the payload in ("fleet" for /fleetz,
 // "mining" for /miningz). The owning subsystem registers one when its
 // run starts; telemetry stays a leaf package and only knows it gets
 // *something* JSON-marshalable back — or a fmt.Stringer for the text
 // rendering.
 var (
-	statusMu  sync.RWMutex
-	statusFns = map[string]func() any{}
+	statusMu sync.RWMutex
+	statuses = map[string]interface{ payload() any }{}
 )
 
-func setStatusProvider(key string, fn func() any) {
-	statusMu.Lock()
-	statusFns[key] = fn
-	statusMu.Unlock()
+// Status publishes one subsystem's live snapshot to a debug endpoint.
+// Each Publish stores a fresh, immutable *T: the debug server reads it
+// concurrently, so a published value must never be mutated afterwards.
+type Status[T any] struct {
+	cur atomic.Pointer[T]
 }
 
-// SetFleetz registers the provider behind the /fleetz debug endpoint.
-// The provider is called per request on the debug server's goroutine,
-// so it must be safe for concurrent use and should return an immutable
-// snapshot. Registering nil (or never registering) makes /fleetz
-// report {"active": false}; re-registering replaces the provider
+// NewStatus returns a status and registers it as the provider behind
+// key's endpoint. Re-registering a key replaces the previous status
 // (desktop fleet, then mobile fleet — latest wins, like expvar
-// republication).
-func SetFleetz(fn func() any) { setStatusProvider("fleet", fn) }
+// republication). Until the first Publish the endpoint reports
+// {"active": false}.
+func NewStatus[T any](key string) *Status[T] {
+	s := &Status[T]{}
+	statusMu.Lock()
+	statuses[key] = s
+	statusMu.Unlock()
+	return s
+}
 
-// SetMiningz registers the provider behind the /miningz debug
-// endpoint — the mining pipeline's mirror of SetFleetz, with the same
-// contract: immutable snapshots, safe for concurrent calls, latest
-// registration wins.
-func SetMiningz(fn func() any) { setStatusProvider("mining", fn) }
+// Publish makes v the current snapshot.
+func (s *Status[T]) Publish(v *T) { s.cur.Store(v) }
 
-// statusHandler serves one registered provider's live snapshot: JSON
-// by default (wrapped in an {"active": true, "<key>": ...} envelope),
-// the provider's fmt.Stringer rendering with ?format=text.
+// Load returns the current snapshot, or nil before the first Publish.
+// Nil-safe.
+func (s *Status[T]) Load() *T {
+	if s == nil {
+		return nil
+	}
+	return s.cur.Load()
+}
+
+// payload is Load as an any that is a true nil (not a typed nil
+// pointer) before the first Publish, so the handler sees "inactive".
+func (s *Status[T]) payload() any {
+	if v := s.Load(); v != nil {
+		return v
+	}
+	return nil
+}
+
+// LoadStatus returns the current snapshot of the status registered
+// under key, or nil when none is registered, it was registered with a
+// different T, or nothing has been published yet.
+func LoadStatus[T any](key string) *T {
+	statusMu.RLock()
+	s, _ := statuses[key].(*Status[T])
+	statusMu.RUnlock()
+	return s.Load()
+}
+
+// statusHandler serves one registered status's live snapshot: JSON by
+// default (wrapped in an {"active": true, "<key>": ...} envelope), the
+// payload's fmt.Stringer rendering with ?format=text.
 func statusHandler(key string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		statusMu.RLock()
-		fn := statusFns[key]
+		src := statuses[key]
 		statusMu.RUnlock()
 		var payload any
-		if fn != nil {
-			payload = fn()
+		if src != nil {
+			payload = src.payload()
 		}
 		if payload == nil {
 			w.Header().Set("Content-Type", "application/json")

@@ -44,8 +44,8 @@ grep -Eq "fleet: .*kills=[1-9]" "$TMPD/fleet.log" || {
 }
 
 # The fleet mine runs the default (cached) clustering path, so stop at
-# the blocked-only marker; scripts/miningz_smoke.sh validates those keys
-# on a blocked mine.
+# the blocked-only marker; `scripts/statusz_smoke.sh miningz` validates
+# those keys on a blocked mine.
 missing=0
 while IFS= read -r key; do
 	case "$key" in ''|'#'*) continue ;; esac

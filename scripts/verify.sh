@@ -28,6 +28,9 @@ echo "==> shard-state save smoke (.bak fallback, EncodeState vs State on every s
 sh scripts/gotest_named.sh ./internal/crawler/ TestShardStateBackupFallback
 sh scripts/gotest_named.sh ./internal/fleet/ TestEncodeStateMatchesState
 
+echo "==> ledger and status smoke (line format, seq-gap reader, /fleetz and /miningz handler)"
+sh scripts/gotest_named.sh ./internal/telemetry/ TestLedgerLineFormat TestReadLedgerSeq TestLedgerAppend TestStatusHandler
+
 # bench_check subsumes the old bench smokes: it runs the same cheap
 # slices (mining n=200, crawl n=50, 1x) and additionally gates them
 # against the committed BENCH_*.json baselines.
@@ -37,8 +40,8 @@ sh scripts/telemetry_smoke.sh
 
 sh scripts/fleet_smoke.sh
 
-sh scripts/fleetz_smoke.sh
+sh scripts/statusz_smoke.sh fleetz
 
-sh scripts/miningz_smoke.sh
+sh scripts/statusz_smoke.sh miningz
 
 echo "verify: OK"
